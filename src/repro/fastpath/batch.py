@@ -136,11 +136,16 @@ def simulate_batch(
 
     ``regimes``, when given a dict, receives the per-regime request
     counts after the run: ``cold`` (vectorised first-occurrence replay),
-    ``hit_run`` (bulk-scanned warm hit runs), and ``scalar``
-    (per-request protocol path). Configs that replay on the chunked
-    columnar core instead record ``fallback_reason``. Counts only — the
-    engine never reads a clock; ``repro profile`` derives wall-time
-    shares from the profiler's per-function attribution.
+    ``hit_run`` (warm local hits that never enter the protocol path),
+    and ``scalar`` (per-request protocol path). ``hit_run`` has two
+    sources: the warm scanner's block scatter, and :func:`scalar_run`'s
+    residency recheck and run collapse, which resolve one run at a time.
+    On the BU-scale trace at 100 KB–100 MB nearly all of it is the
+    second (docs/PERFORMANCE.md, "Where hit-run requests are resolved").
+    Configs that replay on the chunked columnar core instead record
+    ``fallback_reason``. Counts only — the engine never reads a clock;
+    ``repro profile`` derives wall-time shares from the profiler's
+    per-function attribution.
 
     ``spans`` / ``timeseries`` are the out-of-band telemetry channels
     shared with :func:`simulate_columnar` (span tracer; per-chunk sample

@@ -20,7 +20,10 @@ per-document state, so request count stops being a memory bound —
 
 This module provides the two generator-backed sources; packed columnar
 trace files (:mod:`repro.trace.columnar_io`) implement the same protocol
-over an on-disk format.
+over an on-disk format. :class:`RecordStream` interns records as they
+come; :class:`SyntheticTraceStream` builds no records at all and interns
+the synthetic generator's raw columns directly, so under a span tracer
+its ``intern`` spans time only that id mapping.
 """
 
 from __future__ import annotations
@@ -28,11 +31,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.trace.record import TraceRecord
-from repro.trace.synthetic import BULikeTraceGenerator, SyntheticTraceConfig
+from repro.trace.synthetic import (
+    BULikeTraceGenerator,
+    SyntheticTraceConfig,
+    client_name,
+    document_url,
+)
 
 
 def source_fingerprint(source, strict: bool = False) -> str:
@@ -142,12 +150,19 @@ class RecordStream:
 class SyntheticTraceStream(RecordStream):
     """Chunked synthetic generation: the BU-like workload as a stream.
 
-    Wraps :meth:`BULikeTraceGenerator.iter_records` — the *same* emission
-    loop ``generate_trace`` materialises, so the RNG consumption order and
-    every emitted record are identical by construction::
+    Drives :meth:`BULikeTraceGenerator.iter_columns` — the *same*
+    emission loop ``generate_trace`` materialises, so the RNG consumption
+    order and every request are identical by construction::
 
         stream = SyntheticTraceStream(SyntheticTraceConfig(num_requests=10**8))
         result = run_simulation(config, stream)   # O(chunk) request memory
+
+    Interning is fused into generation: :meth:`interned_chunks` maps the
+    generator's document and client indices straight to dense
+    first-appearance ids, with no :class:`TraceRecord`, per-request URL
+    or session string, or :class:`ChunkingInterner` in between. The
+    chunks equal those of ``RecordStream(generator.iter_records)``
+    field for field.
 
     ``num_records`` is the configured request count, so sweep progress
     totals are exact without generating anything up front.
@@ -158,6 +173,7 @@ class SyntheticTraceStream(RecordStream):
         super().__init__(
             generator.iter_records, num_records=generator.config.num_requests
         )
+        self._generator = generator
         self.config = generator.config
         # The config fully determines every emitted record (one seeded
         # RNG), so its canonical JSON is a sound content address for the
@@ -167,6 +183,84 @@ class SyntheticTraceStream(RecordStream):
         )
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         self.fingerprint = f"synthetic:{digest}"
+
+    def interned_chunks(
+        self, chunk_size: int, spans=None
+    ) -> Iterator["InternedChunk"]:
+        """Generate the stream as ``chunk_size``-request interned chunks.
+
+        Dense ids are assigned in first-appearance order through two flat
+        tables indexed by generator document and client index, exactly as
+        :class:`ChunkingInterner` would assign them to the records' URLs
+        and client names (both are one-to-one with the indices). Only a
+        chunk's *new* documents and clients get their strings formatted.
+
+        ``spans`` (an optional :class:`repro.obs.spans.SpanTracer`) times
+        each chunk's id mapping as an ``intern`` span, a child of the
+        engine's source span; the generation loop itself is the source
+        span's self time. The mapping costs a few list and dict steps per
+        distinct index, so the span is a small share of each pull.
+        Telemetry only; the emitted chunks are identical with or without it.
+        """
+        if chunk_size <= 0:
+            raise TraceError(f"chunk_size must be positive, got {chunk_size}")
+        # Imported here: repro.fastpath sits above the trace layer.
+        from repro.fastpath.interning import InternedChunk
+
+        config = self.config
+        doc_ids_of = [_UNSEEN] * config.num_documents
+        client_ids_of = [_UNSEEN] * config.num_clients
+        base_docs = base_clients = base_records = 0
+        traced = spans is not None
+        for timestamps, client_idx, docs, sizes, _ in self._generator.iter_columns(
+            chunk_size
+        ):
+            if traced:
+                spans.begin("intern", "source")
+            doc_ids, new_docs = _first_appearance_ids(docs, doc_ids_of, base_docs)
+            clients, new_clients = _first_appearance_ids(
+                client_idx, client_ids_of, base_clients
+            )
+            chunk = InternedChunk(
+                doc_ids=doc_ids,
+                sizes=sizes,
+                timestamps=timestamps,
+                clients=clients,
+                new_urls=[document_url(doc) for doc in new_docs],
+                new_client_names=[client_name(ci) for ci in new_clients],
+                base_docs=base_docs,
+                base_clients=base_clients,
+                base_records=base_records,
+            )
+            if traced:
+                spans.end(records=chunk.num_records)
+            yield chunk
+            base_docs += len(new_docs)
+            base_clients += len(new_clients)
+            base_records += len(doc_ids)
+
+
+#: Dense-id table entry of an index not seen yet.
+_UNSEEN = -1
+
+
+def _first_appearance_ids(
+    indices: List[int], dense_of: List[int], base: int
+) -> Tuple[List[int], List[int]]:
+    """Map ``indices`` to dense ids, assigning new ids in first-appearance order.
+
+    ``dense_of`` is the persistent index -> dense id table (``_UNSEEN``
+    for indices not met yet), updated in place; ``base`` is the number of
+    ids handed out before this call. Returns the mapped column and the
+    indices first seen here, in the order their ids were assigned.
+    """
+    # dict.fromkeys keeps first-appearance order, so the Python-level
+    # loop runs once per distinct index, not once per request.
+    new = [index for index in dict.fromkeys(indices) if dense_of[index] == _UNSEEN]
+    for dense, index in enumerate(new, base):
+        dense_of[index] = dense
+    ids = list(map(dense_of.__getitem__, indices))
+    return ids, new
 
 
 __all__ = [

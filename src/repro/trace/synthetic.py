@@ -26,8 +26,8 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.trace.record import Trace, TraceRecord
@@ -82,12 +82,23 @@ class SyntheticTraceConfig:
             raise TraceError("num_documents must be positive")
         if self.num_clients <= 0:
             raise TraceError("num_clients must be positive")
+        # NaN slips past every ordered comparison below, and an infinite
+        # rate, time or shape breaks the RNG draws; reject both up front.
+        for name in ("zipf_alpha", "size_sigma", "mean_interarrival", "start_time"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise TraceError(f"{name} must be finite, got {value!r}")
+        # An infinite gap is meaningful (sessions never split); NaN is not.
+        if math.isnan(self.session_gap):
+            raise TraceError("session_gap must not be NaN")
         if self.zipf_alpha < 0:
             raise TraceError("zipf_alpha must be non-negative")
         if not 0.0 <= self.temporal_locality <= 1.0:
             raise TraceError("temporal_locality must be within [0, 1]")
         if not 0.0 <= self.zero_size_fraction <= 1.0:
             raise TraceError("zero_size_fraction must be within [0, 1]")
+        if self.locality_stack_depth < 0:
+            raise TraceError("locality_stack_depth must be non-negative")
         if self.mean_interarrival <= 0:
             raise TraceError("mean_interarrival must be positive")
         if self.mean_size <= 0 or self.max_size < self.mean_size:
@@ -137,34 +148,39 @@ class ZipfSampler:
         self._rng = rng
         weights = [k ** -alpha for k in range(1, n + 1)]
         total = math.fsum(weights)
-        self._cdf: List[float] = []
+        #: Cumulative rank probabilities; a rank is ``bisect_left(cdf, u)``.
+        self.cdf: List[float] = []
         acc = 0.0
         for w in weights:
             acc += w / total
-            self._cdf.append(acc)
-        self._cdf[-1] = 1.0  # guard against float round-off
+            self.cdf.append(acc)
+        self.cdf[-1] = 1.0  # guard against float round-off
 
     def sample(self) -> int:
         """Return a rank in [0, n)."""
-        return bisect.bisect_left(self._cdf, self._rng.random())
+        return bisect.bisect_left(self.cdf, self._rng.random())
 
 
-class _ClientState:
-    """Per-client recency stack and session bookkeeping."""
+#: Requests per column chunk when the record path drives the core loop.
+_RECORD_CHUNK = 4096
 
-    __slots__ = ("recent", "last_time", "session_index")
 
-    def __init__(self) -> None:
-        self.recent: List[int] = []
-        self.last_time = -math.inf
-        self.session_index = 0
+def document_url(doc: int) -> str:
+    """URL of generator document ``doc`` (its identity in emitted records)."""
+    return f"http://origin{doc % 97}.example.com/doc/{doc}"
 
-    def touch(self, doc: int, depth: int) -> None:
-        if doc in self.recent:
-            self.recent.remove(doc)
-        self.recent.append(doc)
-        if len(self.recent) > depth:
-            self.recent.pop(0)
+
+def client_name(client: int) -> str:
+    """Client id string of generator client index ``client``."""
+    return f"host{client % 37}/user{client}"
+
+
+class _URLTable(dict):
+    """Generator doc id -> URL, formatted on first lookup and shared after."""
+
+    def __missing__(self, doc: int) -> str:
+        url = self[doc] = document_url(doc)
+        return url
 
 
 class BULikeTraceGenerator:
@@ -196,17 +212,47 @@ class BULikeTraceGenerator:
         """Produce the full trace as a :class:`~repro.trace.record.Trace`."""
         return Trace(list(self.iter_records()))
 
-    def iter_records(self):
+    def iter_records(self) -> Iterator[TraceRecord]:
         """Yield the trace's records one at a time, in trace order.
 
-        This is the same emission loop :meth:`generate` materialises — one
-        shared code path, so the RNG consumption order (and therefore every
-        record) is identical by construction. Streamed replay via
-        :class:`repro.trace.stream.SyntheticTraceStream` builds on this to
-        drive arbitrarily long workloads with O(chunk) request memory (the
-        per-document and per-client tables still scale with the universe,
-        not the request count).
+        Records are built from :meth:`iter_columns`, the one emission loop
+        that :class:`repro.trace.stream.SyntheticTraceStream` also drives,
+        so the RNG consumption order (and therefore every record) is
+        identical by construction. Each document's URL is formatted once,
+        on its first appearance, and shared by every later record of it.
         """
+        urls = _URLTable()
+        clients = [client_name(i) for i in range(self.config.num_clients)]
+        for timestamps, client_idx, docs, sizes, sessions in self.iter_columns(
+            _RECORD_CHUNK
+        ):
+            for now, ci, doc, size, session in zip(
+                timestamps, client_idx, docs, sizes, sessions
+            ):
+                yield TraceRecord(
+                    now, clients[ci], urls[doc], size, f"s{ci}.{session}"
+                )
+
+    def iter_columns(
+        self, chunk_size: int
+    ) -> Iterator[Tuple[List[float], List[int], List[int], List[int], List[int]]]:
+        """The emission loop: yield the trace as raw per-chunk columns.
+
+        Each item is ``(timestamps, client_idx, docs, sizes, sessions)``
+        for the next ``chunk_size`` requests (fewer in the last chunk):
+        client indices and generator document ids index the config's
+        client and document universes, and ``sessions`` holds each
+        request's per-client session number. Records render these as
+        ``client_name(ci)``, ``document_url(doc)`` and ``f"s{ci}.{session}"``.
+
+        Every output of this module comes from here, so the RNG draws
+        happen in one order whatever the consumer and its chunk size.
+        Streamed replay uses the columns directly, with O(chunk) request
+        memory (the per-document and per-client tables still scale with
+        the universe, not the request count).
+        """
+        if chunk_size <= 0:
+            raise TraceError(f"chunk_size must be positive, got {chunk_size}")
         cfg = self.config
         rng = random.Random(cfg.seed)
         sampler = ZipfSampler(cfg.num_documents, cfg.zipf_alpha, rng)
@@ -216,12 +262,11 @@ class BULikeTraceGenerator:
         # that hash on the id).
         doc_ids = list(range(cfg.num_documents))
         rng.shuffle(doc_ids)
-        sizes = self._document_sizes(rng)
+        doc_sizes = self._document_sizes(rng)
 
         # Client activity is itself skewed: a few heavy users dominate
         # real proxy traces. Lognormal weights reproduce that.
         weights = [rng.lognormvariate(0.0, 1.0) for _ in range(cfg.num_clients)]
-        clients = [f"host{i % 37}/user{i}" for i in range(cfg.num_clients)]
         client_cdf: List[float] = []
         acc = 0.0
         total_w = math.fsum(weights)
@@ -230,39 +275,66 @@ class BULikeTraceGenerator:
             client_cdf.append(acc)
         client_cdf[-1] = 1.0
 
-        states: Dict[int, _ClientState] = {i: _ClientState() for i in range(cfg.num_clients)}
+        # Per-client state as flat tables: recency stack (most recent
+        # last, no repeats, at most locality_stack_depth long), last
+        # request time and current session number.
+        recents: List[List[int]] = [[] for _ in range(cfg.num_clients)]
+        last_times = [-math.inf] * cfg.num_clients
+        session_numbers = [0] * cfg.num_clients
+
+        draw = rng.random
+        expovariate = rng.expovariate
+        bisect_left = bisect.bisect_left
+        zipf_cdf = sampler.cdf
+        rate = 1.0 / cfg.mean_interarrival
+        locality = cfg.temporal_locality
+        depth = cfg.locality_stack_depth
+        session_gap = cfg.session_gap
+        zero_fraction = cfg.zero_size_fraction
         now = cfg.start_time
+        remaining = cfg.num_requests
+        while remaining:
+            n = min(chunk_size, remaining)
+            remaining -= n
+            timestamps = [0.0] * n
+            client_idx = [0] * n
+            docs = [0] * n
+            sizes = [0] * n
+            sessions = [0] * n
+            for i in range(n):
+                now += expovariate(rate)
+                ci = bisect_left(client_cdf, draw())
+                recent = recents[ci]
+                if recent and draw() < locality:
+                    # Re-reference: geometric preference for the most
+                    # recent documents in the client's stack.
+                    idx = len(recent) - 1
+                    while idx > 0 and draw() < 0.5:
+                        idx -= 1
+                    doc = recent.pop(idx)
+                else:
+                    doc = doc_ids[bisect_left(zipf_cdf, draw())]
+                    if doc in recent:
+                        recent.remove(doc)
+                recent.append(doc)
+                if len(recent) > depth:
+                    del recent[0]
 
-        for _ in range(cfg.num_requests):
-            now += rng.expovariate(1.0 / cfg.mean_interarrival)
-            ci = bisect.bisect_left(client_cdf, rng.random())
-            state = states[ci]
+                session = session_numbers[ci]
+                if now - last_times[ci] > session_gap:
+                    session += 1
+                    session_numbers[ci] = session
+                last_times[ci] = now
 
-            if state.recent and rng.random() < cfg.temporal_locality:
-                # Re-reference: geometric preference for the most recent
-                # documents in the client's stack.
-                idx = len(state.recent) - 1
-                while idx > 0 and rng.random() < 0.5:
-                    idx -= 1
-                doc = state.recent[idx]
-            else:
-                doc = doc_ids[sampler.sample()]
-            state.touch(doc, cfg.locality_stack_depth)
-
-            if now - state.last_time > cfg.session_gap:
-                state.session_index += 1
-            state.last_time = now
-
-            size = sizes[doc]
-            if cfg.zero_size_fraction and rng.random() < cfg.zero_size_fraction:
-                size = 0
-            yield TraceRecord(
-                timestamp=now,
-                client_id=clients[ci],
-                url=f"http://origin{doc % 97}.example.com/doc/{doc}",
-                size=size,
-                session_id=f"s{ci}.{state.session_index}",
-            )
+                size = doc_sizes[doc]
+                if zero_fraction and draw() < zero_fraction:
+                    size = 0
+                timestamps[i] = now
+                client_idx[i] = ci
+                docs[i] = doc
+                sizes[i] = size
+                sessions[i] = session
+            yield timestamps, client_idx, docs, sizes, sessions
 
 
 def generate_trace(config: Optional[SyntheticTraceConfig] = None) -> Trace:

@@ -30,6 +30,16 @@ class TestConfigValidation:
             {"mean_interarrival": 0.0},
             {"mean_size": 0},
             {"mean_size": 100, "max_size": 50},
+            {"mean_interarrival": math.inf},
+            {"mean_interarrival": math.nan},
+            {"start_time": math.nan},
+            {"start_time": math.inf},
+            {"zipf_alpha": math.nan},
+            {"zipf_alpha": math.inf},
+            {"size_sigma": math.nan},
+            {"size_sigma": math.inf},
+            {"session_gap": math.nan},
+            {"locality_stack_depth": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
