@@ -295,6 +295,21 @@ class RemoteHitAudit:
         self.responder_age = responder_age
 
 
+def split_capacity(aggregate_capacity: int, weights: Sequence[float]) -> List[int]:
+    """Per-cache byte capacities for ``aggregate_capacity`` split by ``weights``.
+
+    Raises :class:`SimulationError` when any share rounds down to zero.
+    """
+    total_weight = sum(weights)
+    capacities = [int(aggregate_capacity * w / total_weight) for w in weights]
+    if any(capacity <= 0 for capacity in capacities):
+        raise SimulationError(
+            f"aggregate capacity {aggregate_capacity} too small for "
+            f"{len(weights)} caches with shares {list(weights)}"
+        )
+    return capacities
+
+
 def build_caches(
     num_caches: int,
     aggregate_capacity: int,
@@ -333,13 +348,7 @@ def build_caches(
         if any(share <= 0 for share in capacity_shares):
             raise SimulationError("capacity_shares must all be positive")
         weights = list(capacity_shares)
-    total_weight = sum(weights)
-    capacities = [int(aggregate_capacity * w / total_weight) for w in weights]
-    if any(capacity <= 0 for capacity in capacities):
-        raise SimulationError(
-            f"aggregate capacity {aggregate_capacity} too small for "
-            f"{num_caches} caches with shares {weights}"
-        )
+    capacities = split_capacity(aggregate_capacity, weights)
     caches = []
     for i, capacity in enumerate(capacities):
         policy = make_policy(policy_name, **(policy_kwargs or {}))

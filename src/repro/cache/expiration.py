@@ -63,6 +63,26 @@ def document_expiration_age(record: EvictionRecord, kind: str) -> float:
     )
 
 
+def check_window(
+    kind: str, window_mode: str, window_size: int, window_seconds: float
+) -> None:
+    """Raise :class:`CacheConfigurationError` for an invalid tracker setup.
+
+    The one validator behind every expiration-age tracker, so each engine
+    rejects the same configs with the same message.
+    """
+    if kind not in TRACKER_KINDS:
+        raise CacheConfigurationError(f"unknown expiration-age kind {kind!r}")
+    if window_mode not in WINDOW_MODES:
+        raise CacheConfigurationError(
+            f"unknown window mode {window_mode!r}; expected one of {WINDOW_MODES}"
+        )
+    if window_mode == "count" and window_size <= 0:
+        raise CacheConfigurationError("window_size must be positive")
+    if window_mode == "time" and window_seconds <= 0:
+        raise CacheConfigurationError("window_seconds must be positive")
+
+
 @dataclass(frozen=True)
 class ExpirationAgeSnapshot:
     """Point-in-time view of a tracker's state (for reports and tests)."""
@@ -88,16 +108,7 @@ class ExpirationAgeTracker:
         window_size: int = 1000,
         window_seconds: float = 3600.0,
     ):
-        if kind not in TRACKER_KINDS:
-            raise CacheConfigurationError(f"unknown expiration-age kind {kind!r}")
-        if window_mode not in WINDOW_MODES:
-            raise CacheConfigurationError(
-                f"unknown window mode {window_mode!r}; expected one of {WINDOW_MODES}"
-            )
-        if window_mode == "count" and window_size <= 0:
-            raise CacheConfigurationError("window_size must be positive")
-        if window_mode == "time" and window_seconds <= 0:
-            raise CacheConfigurationError("window_seconds must be positive")
+        check_window(kind, window_mode, window_size, window_seconds)
         self.kind = kind
         self.window_mode = window_mode
         self.window_size = window_size

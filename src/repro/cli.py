@@ -694,7 +694,7 @@ def _print_batch_regimes(regimes: dict, stats, elapsed: float) -> None:
 
     Request counts come from the engine (it tallies, never clocks — see
     ``docs/ANALYSIS.md`` on determinism); wall-time shares come from the
-    profiler's attribution to the engine's named frames: ``scalar_run``
+    profiler's attribution to the engine's named frames: ``scalar_runs``
     cumulative time is the scalar protocol path, the rest of
     ``warm_loop`` is the hit-run bulk scanner, and everything else
     (vectorised cold replay, precompute, post-pass) is the remainder.
@@ -716,10 +716,10 @@ def _print_batch_regimes(regimes: dict, stats, elapsed: float) -> None:
     for (fname, _line, func), entry in stats.stats.items():
         if fname == "batch.py" and func == "warm_loop":
             warm_c = entry[3]
-        elif fname == "batch.py" and func == "scalar_run":
+        elif fname == "batch.py" and func == "scalar_runs":
             scalar_c = entry[3]
     bulk = max(warm_c - scalar_c, 0.0)
-    rest = max(elapsed - warm_c, 0.0)
+    rest = max(elapsed - bulk - scalar_c, 0.0)
     wall = elapsed or 1.0
     print(
         "batch wall-time share: "

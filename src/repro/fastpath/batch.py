@@ -17,13 +17,24 @@ whole-chunk batch precomputation:
   arrays indexed ``slot = doc * num_caches + cache``, so the hit path
   costs one index computation, no nested list hops.
 * **Lazy LRU** — recency is not a linked list but a per-cache min-heap
-  over ``(touch_index, slot)`` pairs plus a flat ``seq`` array holding
-  each resident copy's latest touch index (the global request index). A
-  hit refreshes recency with *one* array store; the heap is only
-  consulted at eviction time, where stale entries (``seq`` moved on) are
-  lazily re-pushed. The accepted victim is exactly the resident slot
-  with the minimum current touch index — the LRU list's victim — so
-  eviction order (and therefore every expiration age) is identical.
+  of int keys ``(touch_index << 32) | slot`` plus a flat ``seq`` array
+  holding each resident copy's latest touch index (the global request
+  index). An int key orders exactly like the ``(touch_index, slot)``
+  pair it packs (slots stay below 2**32, which the engine enforces) and
+  compares without tuple allocation. A hit refreshes recency with *one*
+  array store; the heap is only consulted at eviction time, where stale
+  entries (``seq`` moved on) are lazily re-queued at their live index.
+  The accepted victim is exactly the resident slot with the minimum
+  current touch index — the LRU list's victim — so eviction order (and
+  therefore every expiration age) is identical.
+* **Lazy age window** — an eviction only appends its document age to
+  the cache's log. :func:`fold_ages` folds the pending ages into the
+  window sum when an age is actually read (a remote hit's placement
+  decision, a ``max_age`` probe, the final result), with the same
+  ``+=``/``-=`` sequence as the eager ring tracker, so every age is
+  bit-equal. Eviction, byte-eviction and copy counts are not counted
+  per victim either: each follows from admissions minus what is still
+  resident.
 * **Run-length segmentation** — consecutive requests for the same (doc,
   leaf) pair cannot change any observable decision after the first one
   resolves to a resident copy, so the stateful loop iterates *run starts*
@@ -83,13 +94,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import List, Optional
 
 from repro.cache.stats import CacheStats
-from repro.errors import SimulationError, TraceError
+from repro.errors import SimulationError
 from repro.fastpath import columnar_unsupported_reason
-from repro.fastpath.engine import _chunk_stream, simulate_columnar
+from repro.fastpath.engine import _chunk_stream, group_capacities, simulate_columnar
 from repro.fastpath.interning import client_leaf_positions
 from repro.fastpath.numeric import load_numpy
 from repro.network.bus import MessageCounters
@@ -138,7 +149,7 @@ def simulate_batch(
     counts after the run: ``cold`` (vectorised first-occurrence replay),
     ``hit_run`` (warm local hits that never enter the protocol path),
     and ``scalar`` (per-request protocol path). ``hit_run`` has two
-    sources: the warm scanner's block scatter, and :func:`scalar_run`'s
+    sources: the warm scanner's block scatter, and the scalar core's
     residency recheck and run collapse, which resolve one run at a time.
     On the BU-scale trace at 100 KB–100 MB nearly all of it is the
     second (docs/PERFORMANCE.md, "Where hit-run requests are resolved").
@@ -157,9 +168,6 @@ def simulate_batch(
     reason = columnar_unsupported_reason(config)
     if reason is not None:
         raise SimulationError(f"config unsupported by the batch engine: {reason}")
-    if config.patch_size <= 0:
-        # Same guard (and message) patch_zero_sizes raises in the object path.
-        raise TraceError(f"patch_size must be positive, got {config.patch_size}")
     loop_reason = batch_fastloop_reason(config, obs)
     if loop_reason is not None:
         # Envelope configs the fast loop does not vectorise replay on the
@@ -194,16 +202,8 @@ def _simulate_fast(
     probe_targets = [tuple(topology.siblings_of(leaf)) for leaf in leaves]
     num_targets = num_caches - 1
 
-    # Equal split, same arithmetic as build_caches with unit weights.
-    weights = [1.0] * num_caches
-    total_weight = sum(weights)
-    capacity = [int(config.aggregate_capacity * w / total_weight) for w in weights]
-    if any(share <= 0 for share in capacity):
-        raise SimulationError(
-            f"aggregate capacity {config.aggregate_capacity} too small for "
-            f"{num_caches} caches with shares {weights}"
-        )
-    cap = capacity[0]  # equal shares: one scalar serves every admit check
+    # Equal shares: one scalar serves every admit check.
+    cap = group_capacities(config, num_caches)[0]
 
     # "cacheN" Via-header lengths, matching build_caches' naming.
     sender_len = [5 + len(str(i)) for i in range(num_caches)]
@@ -221,11 +221,10 @@ def _simulate_fast(
     # repro: domains[seq=cache-slot->global-seq:int64]
     present_b = bytearray()
     # Per-slot metadata lives in buffer-protocol columns — ``array`` /
-    # ``bytearray`` — so the scalar protocol path (miss_path/_admit,
-    # which runs once per *state-changing* request and dominates
-    # evicting replay) gets Python-speed element access, while the
-    # warm/cold regimes take zero-copy ``np.frombuffer`` views for bulk
-    # scatters. Views are created where needed and dropped before the
+    # ``bytearray`` — so the scalar core (scalar_runs, which runs once
+    # per *state-changing* request and dominates evicting replay) gets
+    # Python-speed element access, while the warm/cold regimes take
+    # zero-copy ``np.frombuffer`` views for bulk scatters. Views are created where needed and dropped before the
     # next growth (a buffer with an exported view cannot be resized).
     # ``array("d")`` holds C doubles, so ``lh`` arithmetic stays bit-
     # and serialisation-identical to the object core's floats.
@@ -235,8 +234,8 @@ def _simulate_fast(
     pred = bytearray() if np is not None else None
     # Warm-scanner shared cells (see warm_loop). ``pred_conflict`` is set
     # when an eviction invalidated the current block's classifications;
-    # ``flush_cb`` holds the active block's flush closure so _admit can
-    # apply deferred hit touches before evicting a marked slot;
+    # ``flush_cb`` holds the active block's flush closure so the scalar
+    # core can apply deferred hit touches before evicting a marked slot;
     # ``touched`` records the newest scalar (touch index, timestamp) per
     # slot inside a block so the block-end scatter cannot roll a
     # promotion refresh back to an older bulk value.
@@ -245,25 +244,26 @@ def _simulate_fast(
     flush_cb: List = [None]
     blk_state: List = [None, None, 0, 0]
     touched: dict = {}
-    sr_hits = [0]  # run members resolved by scalar_run's residency recheck
+    # Lazy-LRU heaps of (touch index << 32) | slot keys.
     heaps: List[list] = [[] for _ in range(NC)]
     used = [0] * NC
-    copies = [0] * NC
 
-    # Inline expiration-age window state (same arithmetic sequence as
-    # RingAgeTracker / the object deque tracker, so sums are bit-equal).
-    count_mode = config.window_mode == "count"
-    W = config.window_size
-    ring: List[List[float]] = [[0.0] * (W if count_mode else 0) for _ in range(NC)]
-    rhead = [0] * NC
-    rcount = [0] * NC
-    rsum = [0.0] * NC
-    csum = [0.0] * NC
-    tot = [0] * NC
-    # Cached age value + formatted-age text length per cache; ages change
-    # only when an eviction records into the window, so reads are O(1).
-    cur_age = [_INF] * NC
+    # Lazy expiration-age windows, one ``[log, done, sum, count]`` per
+    # cache (see fold_ages). Evictions append to ``alog[c]`` (the same
+    # list as ``win[c][0]``) and mark ``cur_age[c]`` stale with None; a
+    # read folds the log first. W == 0 selects the cumulative window.
+    W = config.window_size if config.window_mode == "count" else 0
+    win: List[list] = [[[], 0, 0.0, 0] for _ in range(NC)]
+    alog = [w[0] for w in win]  # repro: domains[any->age-tick:float64]
+    # Current age (None while evictions are unfolded) and the formatted
+    # age's text length (-1 until a remote hit needs it) per cache.
+    cur_age: List = [_INF] * NC
     age_len = [3] * NC  # len("inf")
+
+    def age_of(c: int) -> float:
+        age = cur_age[c] = fold_ages(win[c], W)
+        age_len[c] = -1
+        return age
 
     # Per-doc protocol columns (engine-owned copies, grown per chunk).
     url_len_l: List[int] = []
@@ -288,11 +288,9 @@ def _simulate_fast(
     st_remote_served = [0] * NC
     st_admissions = [0] * NC
     st_rejections = [0] * NC
-    st_evictions = [0] * NC
     st_bytes_local = [0] * NC
     st_bytes_remote = [0] * NC
     st_bytes_admitted = [0] * NC
-    st_bytes_evicted = [0] * NC
     st_declined = [0] * NC
     st_promo_granted = [0] * NC
     st_promo_withheld = [0] * NC
@@ -310,6 +308,7 @@ def _simulate_fast(
     tie_requester = config.tie_break == "requester"
     replica_cap = config.max_replica_fraction if ea else None
     rc_on = replica_cap is not None
+    rc_limit = replica_cap * cap if rc_on else 0.0
     max_age_strategy = config.responder_strategy == "max_age"
     constant_latency = config.latency == "constant"
     if constant_latency:
@@ -332,7 +331,7 @@ def _simulate_fast(
     warmup = config.warmup_requests
     sdig: dict = {}  # stored-size -> len(str(size)), bounded by doc count
 
-    # Rebound per chunk; miss_path reads them as free variables.
+    # Rebound per chunk; scalar_runs reads them as free variables.
     # repro: domains[gbase=global-seq, out=chunk-offset->any:uint8]
     leaf_l: List[int] = []
     rsz_l: List[int] = []
@@ -379,247 +378,208 @@ def _simulate_fast(
             lh_v[sm] = tss_p[m]
         pending.clear()
 
-    def miss_path(i: int, slot: int, now: float) -> None:
-        """Everything after a failed local lookup for request ``i``.
+    def scalar_runs(r0: int, r1: int, deferring: bool) -> int:
+        """Replay runs ``r0:r1`` through the per-request protocol path.
 
-        Mirrors the columnar engine's miss branch for the distributed
-        architecture: ICP probe scan, remote serve + placement decision,
-        or origin fetch + admission — with all outcome-classifiable
-        accounting (bus/metrics/latency) deferred to the post-pass via
-        ``out``/``served``.
+        The one scalar core: the warm scanner's churn blocks hand it a
+        whole range, its mixed blocks one predicted-miss run at a time
+        (``deferring``: touches of the block's predicted hits are still
+        pending, so evictions must respect ``pred`` marks and promotion
+        refreshes are logged in ``touched``), and the pure-Python leg
+        every run of the chunk. Mirrors the columnar engine's miss branch
+        for the distributed architecture — ICP probe scan, remote serve
+        plus placement decision, or origin fetch plus admission — with
+        the outcome-classifiable accounting (bus/metrics/latency) left to
+        the post-pass via ``out``/``served``.
+
+        A run whose slot is resident by the time it is reached (an
+        admission earlier in a block made it so) is a plain hit run: the
+        live recheck applies its final touch. Otherwise its first request
+        misses; once an admission sticks, the remaining members collapse
+        to local hits whose only state effect is the final touch, and a
+        rejected or declined copy makes each member miss again. Returns
+        the members resolved without entering the protocol path — by the
+        recheck or by collapse — which the regime breakdown reports as
+        hit-run work, not scalar fallback.
         """
-        cache = leaf_l[i]
-        base = slot - cache
-        # Probe scan in the engine's target order (ascending siblings).
-        responder = -1
-        if max_age_strategy:
-            best_age = 0.0
-            for t in probe_targets[cache]:
-                if present_b[base + t]:
-                    t_age = cur_age[t]
-                    if responder < 0 or t_age > best_age:
-                        responder = t
-                        best_age = t_age
-        else:  # "first": lowest holder index == first hit in ascending scan
-            for t in probe_targets[cache]:
-                if present_b[base + t]:
-                    responder = t
-                    break
-
-        if responder >= 0:
-            # Remote hit. Scheme decision reads requester then responder age.
-            req_age = cur_age[cache]
-            resp_age = cur_age[responder]
-            if ea:
-                if req_age > resp_age:
-                    store = True
-                elif req_age == resp_age:
-                    store = tie_requester
-                else:
-                    store = False
-                refresh = resp_age > req_age
-            else:
-                store = True
-                refresh = True
-            rslot = base + responder
-            size = dsz[rslot]
-            if rc_on and store and size > replica_cap * cap:
-                store = False
-                refresh = True
-            # Header bytes that need the responder / the live ages stay
-            # inline; the (doc, leaf)-only request-header base is summed in
-            # the post-pass from the precomputed column.
-            al = age_len[cache]
-            if al < 0:
-                al = len(fmt_age(req_age))
-                age_len[cache] = al
-            alr = age_len[responder]
-            if alr < 0:
-                alr = len(fmt_age(resp_age))
-                age_len[responder] = alr
-            sd = sdig.get(size)
-            if sd is None:
-                sd = len(str(size))
-                sdig[size] = sd
-            bus[5] += al + alr + 70 + sd + sender_len[responder]
-            # serve_remote at the responder.
-            st_remote_served[responder] += 1
-            st_bytes_remote[responder] += size
-            if refresh:
-                st_promo_granted[responder] += 1
-                lh[rslot] = now
-                seq[rslot] = gbase + i
-                touched[rslot] = (gbase + i, now)
-            else:
-                st_promo_withheld[responder] += 1
-            if store:
-                _admit(cache, slot, size, now, gbase + i)
-            else:
-                st_declined[cache] += 1
-            out[i] = 2
-            served[i] = size
-            return
-
-        # Group-wide miss: origin fetch, store at the requester. The
-        # engine's own-age decision read is side-effect-free in pure
-        # window modes, so only the admission remains.
-        size = rsz_l[i]
-        _admit(cache, slot, size, now, gbase + i)
-        out[i] = 3
-        served[i] = size
-
-    def _admit(cache: int, slot: int, size: int, now: float, g: int) -> None:
-        """Mirror of ProxyCache.admit for a non-resident doc.
-
-        The refresh branch is unreachable here (every caller just saw
-        ``present_b[slot] == 0``), and ``entry_time``/``hit_count`` are
-        dead state under LRU — both are elided.
-        """
-        if size > cap:
-            st_rejections[cache] += 1
-            return
-        in_use = used[cache]
-        if in_use + size > cap:
-            evicted = 0
-            ebytes = 0
-            rg = ring[cache]
-            heap_c = heaps[cache]
-            while in_use + size > cap:
-                s, victim = heap_c[0]
-                if not present_b[victim]:
-                    heappop(heap_c)  # evicted earlier; entry is dead
-                    continue
-                if pred is not None and pred[victim]:
-                    # The candidate carries a deferred warm-block hit
-                    # touch (or an outstanding hit prediction): bring
-                    # the block's consumed touches current, then
-                    # re-examine — the flushed recency may reschedule
-                    # it. The flush aborts the rest of the block.
-                    flush_cb[0]()
-                    continue
-                cur = seq[victim]
-                if cur != s:
-                    # Touched since pushed: reschedule at its live index.
-                    heappop(heap_c)
-                    heappush(heap_c, (cur, victim))
-                    continue
-                # Live minimum touch index == the LRU list's victim.
-                heappop(heap_c)
-                present_b[victim] = 0
-                vs = dsz[victim]
-                in_use -= vs
-                age = now - lh[victim]
-                # Window record: same +=/-= sequence as RingAgeTracker.
-                if count_mode:
-                    rsum[cache] += age
-                    wc = rcount[cache]
-                    h = rhead[cache]
-                    if wc == W:
-                        rsum[cache] -= rg[h]
-                        rg[h] = age
-                        rhead[cache] = h + 1 if h + 1 < W else 0
-                    else:
-                        rg[(h + wc) % W] = age
-                        rcount[cache] = wc + 1
-                else:
-                    tot[cache] += 1
-                    csum[cache] += age
-                evicted += 1
-                ebytes += vs
-            st_evictions[cache] += evicted
-            st_bytes_evicted[cache] += ebytes
-            copies[cache] -= evicted
-            # Refresh the cached age value; the text length lazily.
-            if count_mode:
-                wc = rcount[cache]
-                cur_age[cache] = rsum[cache] / wc if wc else _INF
-            else:
-                cur_age[cache] = csum[cache] / tot[cache]
-            age_len[cache] = -1
-        present_b[slot] = 1
-        dsz[slot] = size
-        lh[slot] = now
-        seq[slot] = g
-        heappush(heaps[cache], (g, slot))
-        used[cache] = in_use + size
-        st_admissions[cache] += 1
-        st_bytes_admitted[cache] += size
-        copies[cache] += 1
-
-    def scalar_run(r: int) -> int:
-        """Replay run ``r`` through the per-request protocol path.
-
-        Dispatched by the warm scanner for runs classified non-resident
-        at block-scan time. The classification can be stale in the hit
-        direction by the time the run is reached (an admission earlier
-        in the block made the slot resident), so a live recheck turns
-        those into plain hit runs. Otherwise the first request misses;
-        once an admission sticks, the remaining members collapse to
-        local hits whose only state effect is the final touch. Returns
-        the member count; members resolved by the residency recheck or
-        by run collapse after a sticking admission — requests that
-        never individually execute the protocol path — are additionally
-        tallied in ``sr_hits`` so the regime breakdown reports them as
-        hit-run work, not scalar fallback. A named function (not
-        inlined in the scanner) so ``repro profile`` attributes
-        scalar-path wall time to one frame.
-        """
-        i = starts_l[r]
-        slot = sslots_l[r]
-        e = ends_l[r]
-        if present_b[slot]:
-            lh[slot] = ts_l[e - 1]
-            seq[slot] = gbase + e - 1
-            if not lean:
-                served[i:e] = dsz[slot]
-            sr_hits[0] += e - i
-            return e - i
-        miss_path(i, slot, sts_l[r])
-        if e - i > 1:
+        hits = 0
+        g0 = gbase
+        for i, e, slot, now in zip(
+            starts_l[r0:r1], ends_l[r0:r1], sslots_l[r0:r1], sts_l[r0:r1]
+        ):
             if present_b[slot]:
                 lh[slot] = ts_l[e - 1]
-                seq[slot] = gbase + e - 1
+                seq[slot] = g0 + e - 1
                 if not lean:
-                    served[i + 1 : e] = dsz[slot]
-                sr_hits[0] += e - i - 1
-            else:
-                # Rejected/declined: each member re-misses until one
-                # admission sticks, then the tail collapses.
-                j = i + 1
-                while j < e:
-                    if present_b[slot]:
-                        lh[slot] = ts_l[e - 1]
-                        seq[slot] = gbase + e - 1
-                        if not lean:
-                            served[j:e] = dsz[slot]
-                        sr_hits[0] += e - j
-                        break
-                    miss_path(j, slot, ts_l[j])
-                    j += 1
-        return e - i
+                    served[i:e] = [dsz[slot]] * (e - i)
+                hits += e - i
+                continue
+            cache = leaf_l[i]
+            base = slot - cache
+            j = i
+            while True:
+                # Request j misses locally. Probe scan in the engine's
+                # target order (ascending siblings).
+                responder = -1
+                if max_age_strategy:
+                    best_age = 0.0
+                    for t in probe_targets[cache]:
+                        if present_b[base + t]:
+                            t_age = cur_age[t]
+                            if t_age is None:
+                                t_age = age_of(t)
+                            if responder < 0 or t_age > best_age:
+                                responder = t
+                                best_age = t_age
+                else:  # "first": lowest holder == first hit in the scan
+                    for t in probe_targets[cache]:
+                        if present_b[base + t]:
+                            responder = t
+                            break
+                if responder < 0:
+                    # Group-wide miss: origin fetch, store at the
+                    # requester. The engine's own-age decision read is
+                    # side-effect-free in pure window modes, so only the
+                    # admission remains.
+                    size = rsz_l[j]
+                    store = True
+                    out[j] = 3
+                else:
+                    # Remote hit: the scheme reads requester then
+                    # responder age.
+                    req_age = cur_age[cache]
+                    if req_age is None:
+                        req_age = age_of(cache)
+                    resp_age = cur_age[responder]
+                    if resp_age is None:
+                        resp_age = age_of(responder)
+                    if ea:
+                        if req_age > resp_age:
+                            store = True
+                        elif req_age == resp_age:
+                            store = tie_requester
+                        else:
+                            store = False
+                        refresh = resp_age > req_age
+                    else:
+                        store = True
+                        refresh = True
+                    rslot = base + responder
+                    size = dsz[rslot]
+                    if rc_on and store and size > rc_limit:
+                        store = False
+                        refresh = True
+                    # Header bytes that need the responder or the live
+                    # ages stay inline; the (doc, leaf)-only request
+                    # header is summed in the post-pass.
+                    al = age_len[cache]
+                    if al < 0:
+                        al = age_len[cache] = len(fmt_age(req_age))
+                    alr = age_len[responder]
+                    if alr < 0:
+                        alr = age_len[responder] = len(fmt_age(resp_age))
+                    sd = sdig.get(size)
+                    if sd is None:
+                        sd = sdig[size] = len(str(size))
+                    bus[5] += al + alr + 70 + sd + sender_len[responder]
+                    # serve_remote at the responder.
+                    st_remote_served[responder] += 1
+                    st_bytes_remote[responder] += size
+                    if refresh:
+                        st_promo_granted[responder] += 1
+                        lh[rslot] = now
+                        seq[rslot] = g0 + j
+                        if deferring:
+                            touched[rslot] = (g0 + j, now)
+                    else:
+                        st_promo_withheld[responder] += 1
+                    if not store:
+                        st_declined[cache] += 1
+                    out[j] = 2
+                if not lean:
+                    served[j] = size
+                if store:
+                    # ProxyCache.admit for a non-resident doc: its refresh
+                    # branch is unreachable (the slot just missed), and
+                    # entry_time/hit_count are dead state under LRU.
+                    if size > cap:
+                        st_rejections[cache] += 1
+                    else:
+                        in_use = used[cache]
+                        if in_use + size > cap:
+                            heap_c = heaps[cache]
+                            log_c = alog[cache]  # repro: domains[any->age-tick:float64]
+                            while in_use + size > cap:
+                                # Heap keys pack (touch index, slot);
+                                # 0xFFFFFFFF is the 32-bit slot field.
+                                key = heap_c[0]
+                                victim = key & 0xFFFFFFFF  # repro: domains[cache-slot]
+                                if not present_b[victim]:
+                                    heappop(heap_c)  # evicted earlier; dead
+                                    continue
+                                if deferring and pred[victim]:
+                                    # The candidate carries a deferred
+                                    # warm-block hit touch (or an
+                                    # outstanding hit prediction): bring
+                                    # the block's consumed touches
+                                    # current, then re-examine. The
+                                    # flush aborts the rest of the block.
+                                    flush_cb[0]()
+                                    continue
+                                cur = seq[victim]
+                                if cur != key >> 32:
+                                    # Touched since queued: re-queue at
+                                    # its live touch index.
+                                    heapreplace(heap_c, cur << 32 | victim)
+                                    continue
+                                # Live minimum touch index: the LRU victim.
+                                heappop(heap_c)
+                                present_b[victim] = 0
+                                in_use -= dsz[victim]
+                                log_c.append(now - lh[victim])
+                            cur_age[cache] = None
+                        present_b[slot] = 1
+                        dsz[slot] = size
+                        lh[slot] = now
+                        seq[slot] = g0 + j
+                        heappush(heaps[cache], (g0 + j) << 32 | slot)
+                        used[cache] = in_use + size
+                        st_admissions[cache] += 1
+                        st_bytes_admitted[cache] += size
+                j += 1
+                if j == e:
+                    break
+                if present_b[slot]:
+                    lh[slot] = ts_l[e - 1]
+                    seq[slot] = g0 + e - 1
+                    if not lean:
+                        served[j:e] = [dsz[slot]] * (e - j)
+                    hits += e - j
+                    break
+                now = ts_l[j]
+        return hits
 
     def warm_loop():
         """Warm-regime scanner: block classification, deferred bulk touches.
 
         Classifies runs in fixed-size blocks with one gather against the
         live residency bitmap (``present_b`` viewed as uint8 — mutations
-        from :func:`_admit`/:func:`miss_path` are visible through the
-        view), replays only the predicted-miss runs through
-        :func:`scalar_run`, and applies all the predicted-hit runs'
-        lazy-LRU touches in one fancy-indexed scatter per block after
-        the scalar work (a slot recurring among the hits resolves
+        from :func:`scalar_runs` are visible through the view), replays
+        only the predicted-miss runs through :func:`scalar_runs`, and
+        applies all the predicted-hit runs' lazy-LRU touches in one
+        fancy-indexed scatter per block after the scalar work (a slot recurring among the hits resolves
         last-wins under fancy assignment — numpy applies values in index
         order — which is exactly the scalar loop's final state).
 
         Deferring the hit touches within a block is sound because
         nothing reads them until an eviction selects one of the touched
         slots: every predicted-hit slot carries a ``pred`` mark, and
-        :func:`_admit` invokes the flush closure before evicting a
+        :func:`scalar_runs` invokes the flush closure before evicting a
         marked slot, which applies the consumed touches immediately and
         aborts the rest of the block for reclassification
         (``pred_conflict``). Predicted-miss runs can only go stale in
         the hit direction (an earlier admission), handled by the live
-        recheck in :func:`scalar_run`. Promotion refreshes landing on
+        recheck in :func:`scalar_runs`. Promotion refreshes landing on
         scatter-covered slots are reconciled by the ``touched`` fixup —
         the newest touch index wins, matching scalar order. Returns
         (hit_run_requests, scalar_requests) for the chunk tail.
@@ -631,7 +591,6 @@ def _simulate_fast(
         nruns = len(starts_r)
         hit_req = 0
         scal_req = 0
-        sr_hits[0] = 0
         # No reference to these views may survive the chunk body — the
         # backing buffers' extend() on the next chunk would raise
         # BufferError. They are locals of this call, which returns
@@ -711,12 +670,13 @@ def _simulate_fast(
                 continue
             if nh * 4 < blk or not credit:
                 # Churn block (hits scarce): replay every run through
-                # the scalar path with live residency checks — no
+                # the scalar core with live residency checks — no
                 # deferral, no marks, no conflicts possible. This keeps
                 # eviction-heavy regimes at the plain per-run cost
                 # instead of thrashing the block machinery.
-                for p in range(r, r + blk):
-                    scal_req += scalar_run(p)
+                hits = scalar_runs(r, r + blk, False)
+                hit_req += hits
+                scal_req += ends_l[r + blk - 1] - starts_l[r] - hits
                 r += blk
                 continue
             mpos = np.flatnonzero(~hitm)
@@ -727,10 +687,12 @@ def _simulate_fast(
             blk_state[1] = hitm
             blk_state[2] = r
             stop = r + blk
-            blk_scal = 0
+            blk_scal = 0  # members of the runs replayed by the core
+            blk_hits = 0  # ... of which it resolved as hits
             for p in (mpos + r).tolist():
                 blk_state[3] = p
-                blk_scal += scalar_run(p)
+                blk_hits += scalar_runs(p, p + 1, True)
+                blk_scal += ends_l[p] - starts_l[p]
                 if pred_conflict[0]:
                     # An eviction invalidated the outstanding
                     # predictions; reclassify from the next run with a
@@ -753,14 +715,11 @@ def _simulate_fast(
                 fill_served(
                     sl[:cons][m], starts_r[r:stop][m], ends_r[r:stop][m]
                 )
-            scal_req += blk_scal
-            hit_req += ends_l[stop - 1] - starts_l[r] - blk_scal
+            scal_req += blk_scal - blk_hits
+            hit_req += ends_l[stop - 1] - starts_l[r] - blk_scal + blk_hits
             r = stop
         flush_cb[0] = None
-        # Reclassify the residency-recheck hit-runs: they were tallied
-        # through scalar_run's return value but never entered the
-        # protocol path, so the breakdown reports them as hit-run work.
-        return hit_req + sr_hits[0], scal_req - sr_hits[0]
+        return hit_req, scal_req
 
     # Regime tallies (requests handled per path; see ``regimes``).
     reg_cold = 0
@@ -788,6 +747,11 @@ def _simulate_fast(
         if new_urls:
             add = len(new_urls)
             num_docs += add
+            if num_docs * NC >= 1 << 32:
+                raise SimulationError(
+                    f"{num_docs} documents x {NC} caches reach 2**32 slots; "
+                    f"the batch engine's LRU heap keys hold 32-bit slots"
+                )
             url_len_l.extend(chunk.new_url_lens)
             icp_l.extend(chunk.new_icp_probe_bytes)
             grown = add * NC
@@ -1021,15 +985,20 @@ def _simulate_fast(
                             continue
                         cm = e_leaf == c
                         # Cold-regime heaps are append-only with globally
-                        # ascending touch indices, so the entry list is
+                        # ascending touch indices, so the key list is
                         # sorted — and a sorted list is a valid min-heap.
-                        heaps[c].extend(
-                            zip(e_g[cm].tolist(), e_slot[cm].tolist())
-                        )
+                        if e_g[-1] < 1 << 31:
+                            # repro: domains[keys=any->any:int64]
+                            keys = ((e_g[cm] << 32) | e_slot[cm]).tolist()
+                        else:  # int64 would overflow: Python ints
+                            keys = [
+                                g << 32 | sl
+                                for g, sl in zip(e_g[cm].tolist(), e_slot[cm].tolist())
+                            ]
+                        heaps[c].extend(keys)
                         used[c] += int(abyt[c])
                         st_admissions[c] += k
                         st_bytes_admitted[c] += int(abyt[c])
-                        copies[c] += k
                     if not ea and bool(rem.any()):
                         # Responder promotions touch the serving slot.
                         # Applied *after* the admission scatter: a slot
@@ -1096,15 +1065,14 @@ def _simulate_fast(
                 spans.end(requests=tail_start)
 
         # The served column is only materialised when the stateful path
-        # (whose miss branch records into it) actually runs; in numpy
-        # mode it is an int64 array so bulk hit-runs can fill member
-        # spans with one np.repeat scatter (lean mode derives every
-        # served size from the precomputed column instead, so the writes
-        # are dead there — the zeros allocation is one memset).
+        # (whose miss branch records into it) actually runs outside lean
+        # mode, which derives every served size from the precomputed
+        # column instead. In numpy mode it is an int64 array so bulk
+        # hit-runs can fill member spans with one np.repeat scatter.
         reg_cold += tail_start
         if np is None:
             served = [0] * n
-        elif tail_start < n:
+        elif tail_start < n and not lean:
             served = np.zeros(n, dtype=np.int64)
         else:
             served = []
@@ -1115,7 +1083,8 @@ def _simulate_fast(
         # whose only state effect is the final touch index and last-hit.
         # With numpy the warm scanner bulk-processes whole all-hit run
         # prefixes (see warm_loop); the pure-Python fallback replays
-        # every run through the scalar path below.
+        # every run through the scalar core and reports all of them as
+        # scalar work.
         # ------------------------------------------------------------ #
         if traced and tail_start < n:
             spans.begin("warm", "regime")
@@ -1129,42 +1098,7 @@ def _simulate_fast(
             reg_scalar += scal_req
         else:
             reg_scalar += n
-            for i, slot, now, e in zip(starts_l, sslots_l, sts_l, ends_l):
-                if present_b[slot]:
-                    sz = dsz[slot]
-                    served[i] = sz
-                    lh[slot] = now
-                    seq[slot] = gbase + i
-                    if e - i > 1:
-                        lh[slot] = ts_l[e - 1]
-                        seq[slot] = gbase + e - 1
-                        served[i + 1 : e] = [sz] * (e - i - 1)
-                    continue
-                miss_path(i, slot, now)
-                if e - i > 1:
-                    if present_b[slot]:
-                        # Stored: the rest of the run collapses to local hits.
-                        sz = dsz[slot]
-                        lh[slot] = ts_l[e - 1]
-                        seq[slot] = gbase + e - 1
-                        served[i + 1 : e] = [sz] * (e - i - 1)
-                    else:
-                        # Rejected/declined: each member re-misses until one
-                        # admission sticks, then the tail collapses.
-                        j = i + 1
-                        while j < e:
-                            if present_b[slot]:
-                                sz = dsz[slot]
-                                served[j] = sz
-                                lh[slot] = ts_l[j]
-                                seq[slot] = gbase + j
-                                if e - j > 1:
-                                    lh[slot] = ts_l[e - 1]
-                                    seq[slot] = gbase + e - 1
-                                    served[j + 1 : e] = [sz] * (e - j - 1)
-                                break
-                            miss_path(j, slot, ts_l[j])
-                            j += 1
+            scalar_runs(0, len(starts_l), False)
         if traced and tail_start < n:
             spans.end(
                 hit_run=reg_hit - warm_hit_base,
@@ -1265,7 +1199,8 @@ def _simulate_fast(
                 requests=grand_total,
                 local_hits=sum(st_local_hits),
                 remote_hits=sum(st_remote_served),
-                evictions=sum(st_evictions),
+                # Every admitted copy is resident or was evicted.
+                evictions=sum(st_admissions) - present_b.count(1),
                 admissions=sum(st_admissions),
                 declined=sum(st_declined),
                 promoted=sum(st_promo_granted),
@@ -1304,6 +1239,20 @@ def _simulate_fast(
         http_header_bytes=bus[5],
         http_body_bytes=bus[6],
     )
+    # Every admitted copy is still resident or was evicted, and a copy
+    # keeps its admitted size while resident, so the eviction counters
+    # follow from admissions minus what is resident now.
+    if np is not None and num_docs:
+        held = np.frombuffer(present_b, dtype=np.uint8).reshape(num_docs, NC)
+        resident = held.sum(axis=0, dtype=np.int64).tolist()
+        unique_documents = int((held != 0).any(axis=1).sum())
+        del held
+    else:
+        resident = [present_b[c::NC].count(1) for c in range(NC)]
+        unique_documents = sum(
+            1 for d in range(num_docs)
+            if any(present_b[d * NC : (d + 1) * NC])
+        )
     cache_stats = [
         CacheStats(
             lookups=st_lookups[c],
@@ -1312,11 +1261,11 @@ def _simulate_fast(
             remote_hits_served=st_remote_served[c],
             admissions=st_admissions[c],
             rejections=st_rejections[c],
-            evictions=st_evictions[c],
+            evictions=st_admissions[c] - resident[c],
             bytes_served_local=st_bytes_local[c],
             bytes_served_remote=st_bytes_remote[c],
             bytes_admitted=st_bytes_admitted[c],
-            bytes_evicted=st_bytes_evicted[c],
+            bytes_evicted=st_bytes_admitted[c] - used[c],
             placements_declined=st_declined[c],
             promotions_granted=st_promo_granted[c],
             promotions_withheld=st_promo_withheld[c],
@@ -1327,23 +1276,10 @@ def _simulate_fast(
         regimes["cold"] = reg_cold
         regimes["hit_run"] = reg_hit
         regimes["scalar"] = reg_scalar
-    if count_mode:
-        # float(): the window sums may be np.float64 once the numpy-backed
-        # lh column feeds the age arithmetic; values are bit-identical.
-        ages = [
-            float(rsum[c] / rcount[c]) if rcount[c] else _INF for c in range(NC)
-        ]
-    else:
-        ages = [float(csum[c] / tot[c]) if tot[c] else _INF for c in range(NC)]
-    if np is not None and num_docs:
-        held = np.frombuffer(present_b, dtype=np.uint8)
-        unique_documents = int((held.reshape(num_docs, NC) != 0).any(axis=1).sum())
-    else:
-        unique_documents = sum(
-            1 for d in range(num_docs)
-            if any(present_b[d * NC : (d + 1) * NC])
-        )
-    total_copies = sum(copies)
+    # float(): timestamps from a numpy-backed source can make the window
+    # sums np.float64; values are bit-identical.
+    ages = [float(fold_ages(win[c], W)) for c in range(NC)]
+    total_copies = sum(resident)
     replication = total_copies / unique_documents if unique_documents else 0.0
     return SimulationResult(
         config=config.to_dict(),
@@ -1358,6 +1294,47 @@ def _simulate_fast(
         estimated_latency=metrics.estimated_latency(),
         manifest=None,
     )
+
+
+# repro: domains[log=any->age-tick:float64, total=age-tick]
+def fold_ages(win: list, window: int) -> float:
+    """Fold one cache's pending evicted ages into its window; return its age.
+
+    ``win`` is ``[log, done, total, count]``: ``log`` holds document ages
+    in eviction order, ``log[:done]`` are already folded into ``total``
+    (the window sum) and ``count`` (the victims it covers). ``window`` is
+    the count window's size, or 0 for the cumulative window. The fold
+    performs the same ``+=``/``-=`` sequence as
+    :meth:`repro.fastpath.ringtracker.RingAgeTracker.record` — add the
+    new age, then subtract the one it displaces — so the sums are
+    bit-equal however the reads fall. A folded count log is trimmed to
+    its last ``window`` ages once it reaches twice that, and a folded
+    cumulative log is emptied, so a streamed replay keeps O(window)
+    memory per cache. Returns the mean age (paper Eq. 5), ``+inf`` while
+    the window is empty.
+    """
+    log, done, total, count = win
+    n = len(log)
+    if window:
+        # log[k] displaces log[k - window] once the window is full.
+        for k in range(done, n):
+            total += log[k]
+            if k >= window:
+                total -= log[k - window]
+        count = n if n < window else window
+        if n >= 2 * window:
+            del log[: n - window]
+            n = window
+    else:
+        for k in range(done, n):
+            total += log[k]
+        count += n - done
+        log.clear()
+        n = 0
+    win[1] = n
+    win[2] = total
+    win[3] = count
+    return total / count if count else _INF
 
 
 class _NpGrow:

@@ -40,7 +40,10 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
+from repro.architecture.base import split_capacity
+from repro.cache.expiration import check_window
 from repro.cache.stats import CacheStats
+from repro.core.placement import EAScheme
 from repro.errors import SimulationError, TraceError
 from repro.fastpath import columnar_unsupported_reason
 from repro.fastpath.interning import InternedChunk, client_leaf_positions
@@ -113,6 +116,29 @@ def _chunk_stream(trace, chunk_size: Optional[int], spans=None) -> Iterator[Tupl
     return ((chunk, None) for chunk in chunks)
 
 
+def group_capacities(config, num_caches: int) -> List[int]:
+    """Validate ``config`` as the object core does, then split its capacity.
+
+    The object core rejects a config while it builds the group and starts
+    the replay: the placement scheme first, then the capacity split, then
+    each cache's expiration-age window, then the record-size patch. This
+    runs the same validators in the same order, so every engine raises the
+    same exception with the same message for the same config. Returns the
+    equal per-cache capacities of ``build_caches``.
+    """
+    if config.scheme == "ea":
+        EAScheme(config.tie_break, config.max_replica_fraction)
+    capacity = split_capacity(config.aggregate_capacity, [1.0] * num_caches)
+    # Inside the envelope the policy name doubles as the tracker kind.
+    check_window(
+        config.policy, config.window_mode, config.window_size, config.window_seconds
+    )
+    if config.patch_size <= 0:
+        # Same guard (and message) patch_zero_sizes raises in the object path.
+        raise TraceError(f"patch_size must be positive, got {config.patch_size}")
+    return capacity
+
+
 def simulate_columnar(
     config, trace, obs=None, chunk_size: Optional[int] = None,
     spans=None, timeseries=None,
@@ -153,9 +179,6 @@ def simulate_columnar(
     reason = columnar_unsupported_reason(config)
     if reason is not None:
         raise SimulationError(f"config unsupported by the columnar engine: {reason}")
-    if config.patch_size <= 0:
-        # Same guard (and message) patch_zero_sizes raises in the object path.
-        raise TraceError(f"patch_size must be positive, got {config.patch_size}")
     patch = config.patch_size
     partitioner = config.partitioner
 
@@ -180,15 +203,7 @@ def simulate_columnar(
             targets.append(parent[leaf])
         probe_targets[leaf] = tuple(targets)
 
-    # Equal split, same arithmetic as build_caches with unit weights.
-    weights = [1.0] * num_caches
-    total_weight = sum(weights)
-    capacity = [int(config.aggregate_capacity * w / total_weight) for w in weights]
-    if any(share <= 0 for share in capacity):
-        raise SimulationError(
-            f"aggregate capacity {config.aggregate_capacity} too small for "
-            f"{num_caches} caches with shares {weights}"
-        )
+    capacity = group_capacities(config, num_caches)
 
     # "cacheN" Via-header lengths, matching build_caches' naming.
     sender_len = [5 + len(str(i)) for i in range(num_caches)]

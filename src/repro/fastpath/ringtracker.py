@@ -20,12 +20,10 @@ from typing import List, Optional
 
 from repro.cache.document import EvictionRecord
 from repro.cache.expiration import (
-    TRACKER_KINDS,
-    WINDOW_MODES,
     ExpirationAgeSnapshot,
+    check_window,
     document_expiration_age,
 )
-from repro.errors import CacheConfigurationError
 
 #: Initial ring capacity for the time-window mode, which has no fixed
 #: victim count; the ring doubles as needed.
@@ -62,16 +60,7 @@ class RingAgeTracker:
         window_size: int = 1000,
         window_seconds: float = 3600.0,
     ):
-        if kind not in TRACKER_KINDS:
-            raise CacheConfigurationError(f"unknown expiration-age kind {kind!r}")
-        if window_mode not in WINDOW_MODES:
-            raise CacheConfigurationError(
-                f"unknown window mode {window_mode!r}; expected one of {WINDOW_MODES}"
-            )
-        if window_mode == "count" and window_size <= 0:
-            raise CacheConfigurationError("window_size must be positive")
-        if window_mode == "time" and window_seconds <= 0:
-            raise CacheConfigurationError("window_seconds must be positive")
+        check_window(kind, window_mode, window_size, window_seconds)
         self.kind = kind
         self.window_mode = window_mode
         self.window_size = window_size
